@@ -44,8 +44,13 @@ fn check_run_invariants(run: &TimedRun) {
         "{label}: leaf attribution must cover every recorded path"
     );
     assert!(
-        run.host.counter(HostCounter::EventsSimulated) > 0,
+        run.host.counter(HostCounter::CyclesStepped) > 0,
         "{label}: a completed run stepped the system"
+    );
+    assert!(
+        run.host.counter(HostCounter::EventsSimulated)
+            >= run.host.counter(HostCounter::CyclesStepped),
+        "{label}: stepped cycles are a subset of the simulated ones"
     );
     assert!(
         run.host.counter(HostCounter::CacheLookups) > 0,
@@ -156,11 +161,13 @@ fn profiler_invariants_and_disabled_overhead() {
     let per_site_pair_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
 
     for (e, d) in enabled.iter().zip(&disabled) {
-        // Site estimate: every event steps one core scope + one count,
-        // each cache lookup / WQ op / log append is a scope + count, and
-        // controller ticks/encoding/logging hooks are bounded by a
-        // handful of scopes per event — 8× events covers them all.
-        let sites = 8 * e.host.counter(HostCounter::EventsSimulated)
+        // Site estimate: every stepped cycle runs one core scope + one
+        // count, each cache lookup / WQ op / log append is a scope +
+        // count, and controller ticks/encoding/logging hooks are bounded
+        // by a handful of scopes per stepped cycle — 8× stepped cycles
+        // covers them all. Idle cycles the engine skips run no sites
+        // beyond the one bulk count charged to the stepped cycle before.
+        let sites = 8 * e.host.counter(HostCounter::CyclesStepped)
             + 2 * e.host.counter(HostCounter::CacheLookups)
             + 2 * e.host.counter(HostCounter::WqOps)
             + 2 * e.host.counter(HostCounter::LogAppends);

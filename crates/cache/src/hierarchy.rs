@@ -79,12 +79,12 @@ pub enum EvictionEvent {
 /// use morlog_sim_core::{HierarchyConfig, LineAddr, LineData};
 ///
 /// let mut h = Hierarchy::new(&HierarchyConfig::default(), 2);
+/// let mut events = Vec::new();
 /// let line = LineAddr::from_index(100);
-/// let (outcome, _) = h.access(0, line);
-/// assert_eq!(outcome, AccessOutcome::Miss);
-/// h.fill(0, line, LineData::zeroed());
-/// let (outcome, _) = h.access(0, line);
-/// assert_eq!(outcome, AccessOutcome::L1Hit);
+/// assert_eq!(h.access(0, line, &mut events), AccessOutcome::Miss);
+/// h.fill(0, line, LineData::zeroed(), &mut events);
+/// assert_eq!(h.access(0, line, &mut events), AccessOutcome::L1Hit);
+/// assert!(events.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -148,23 +148,29 @@ impl Hierarchy {
         self.l1.len()
     }
 
-    /// Accesses `addr` from `core`, promoting the line into the core's L1.
-    /// On [`AccessOutcome::Miss`] the line is *not* resident; fetch memory
-    /// and call [`fill`].
+    /// Accesses `addr` from `core`, promoting the line into the core's L1,
+    /// and appends the evictions this causes to `events`. On
+    /// [`AccessOutcome::Miss`] the line is *not* resident; fetch memory and
+    /// call [`fill`].
     ///
     /// [`fill`]: Hierarchy::fill
-    pub fn access(&mut self, core: usize, addr: LineAddr) -> (AccessOutcome, Vec<EvictionEvent>) {
+    pub fn access(
+        &mut self,
+        core: usize,
+        addr: LineAddr,
+        events: &mut Vec<EvictionEvent>,
+    ) -> AccessOutcome {
         hostprof::count(HostCounter::CacheLookups, 1);
         let _prof = hostprof::scope(HostPhase::CacheHierarchy);
         if self.l1[core].get_mut(addr).is_some() {
             self.stats[0].hits += 1;
-            return (AccessOutcome::L1Hit, Vec::new());
+            return AccessOutcome::L1Hit;
         }
         self.stats[0].misses += 1;
         if let Some(line) = self.l2[core].remove(addr) {
             self.stats[1].hits += 1;
-            let events = self.insert_l1(core, line);
-            return (AccessOutcome::L2Hit, events);
+            self.insert_l1(core, line, events);
+            return AccessOutcome::L2Hit;
         }
         self.stats[1].misses += 1;
         // Another core's private copy? Migrate it (freshest data travels).
@@ -178,12 +184,11 @@ impl Hierarchy {
                 .or_else(|| self.l2[other].remove(addr).map(|l| (false, l)));
             if let Some((from_l1, line)) = migrated {
                 self.stats[2].hits += 1;
-                let mut events = Vec::new();
                 if from_l1 {
                     events.push(EvictionEvent::L1Evicted(line));
                 }
-                events.extend(self.insert_l1(core, line.without_ext()));
-                return (AccessOutcome::L3Hit, events);
+                self.insert_l1(core, line.without_ext(), events);
+                return AccessOutcome::L3Hit;
             }
         }
         if let Some(l3_line) = self.l3.get_mut(addr) {
@@ -193,19 +198,25 @@ impl Hierarchy {
                 ..*l3_line
             };
             self.stats[2].hits += 1;
-            let events = self.insert_l1(core, promoted);
-            return (AccessOutcome::L3Hit, events);
+            self.insert_l1(core, promoted, events);
+            return AccessOutcome::L3Hit;
         }
         self.stats[2].misses += 1;
-        (AccessOutcome::Miss, Vec::new())
+        AccessOutcome::Miss
     }
 
-    /// Installs a line fetched from memory into L3 and the core's L1.
-    pub fn fill(&mut self, core: usize, addr: LineAddr, data: LineData) -> Vec<EvictionEvent> {
+    /// Installs a line fetched from memory into L3 and the core's L1,
+    /// appending the evictions this causes to `events`.
+    pub fn fill(
+        &mut self,
+        core: usize,
+        addr: LineAddr,
+        data: LineData,
+        events: &mut Vec<EvictionEvent>,
+    ) {
         let _prof = hostprof::scope(HostPhase::CacheHierarchy);
-        let mut events = self.insert_l3(CacheLine::clean(addr, data));
-        events.extend(self.insert_l1(core, CacheLine::clean(addr, data)));
-        events
+        self.insert_l3(CacheLine::clean(addr, data), events);
+        self.insert_l1(core, CacheLine::clean(addr, data), events);
     }
 
     /// Mutable view of a resident L1 line (for stores and log-state
@@ -286,24 +297,21 @@ impl Hierarchy {
         self.l3.clear();
     }
 
-    fn insert_l1(&mut self, core: usize, line: CacheLine) -> Vec<EvictionEvent> {
-        let mut events = Vec::new();
+    fn insert_l1(&mut self, core: usize, line: CacheLine, events: &mut Vec<EvictionEvent>) {
         if let Some(victim) = self.l1[core].insert(line) {
             if victim.addr != line.addr {
                 self.stats[0].evictions += 1;
                 events.push(EvictionEvent::L1Evicted(victim));
-                events.extend(self.insert_l2(core, victim.without_ext()));
+                self.insert_l2(core, victim.without_ext(), events);
             }
         }
-        events
     }
 
-    fn insert_l2(&mut self, core: usize, line: CacheLine) -> Vec<EvictionEvent> {
-        let mut events = Vec::new();
+    fn insert_l2(&mut self, core: usize, line: CacheLine, events: &mut Vec<EvictionEvent>) {
         if let Some(victim) = self.l2[core].insert(line) {
             if victim.addr != line.addr {
                 self.stats[1].evictions += 1;
-                events.extend(self.insert_l3(victim));
+                self.insert_l3(victim, events);
             } else if victim.dirty && !line.dirty {
                 // Replaced a dirty stale copy with a clean one: keep dirty.
                 self.l2[core]
@@ -312,17 +320,15 @@ impl Hierarchy {
                     .dirty = true;
             }
         }
-        events
     }
 
-    fn insert_l3(&mut self, line: CacheLine) -> Vec<EvictionEvent> {
-        let mut events = Vec::new();
+    fn insert_l3(&mut self, line: CacheLine, events: &mut Vec<EvictionEvent>) {
         if let Some(victim) = self.l3.insert(line.without_ext()) {
             if victim.addr == line.addr {
                 if victim.dirty && !line.dirty {
                     self.l3.get_mut(line.addr).expect("just inserted").dirty = true;
                 }
-                return events;
+                return;
             }
             self.stats[2].evictions += 1;
             // Inclusive back-invalidation: gather the freshest copy.
@@ -355,7 +361,6 @@ impl Hierarchy {
                 });
             }
         }
-        events
     }
 }
 
@@ -385,6 +390,18 @@ mod tests {
         }
     }
 
+    fn access(h: &mut Hierarchy, core: usize, a: LineAddr) -> (AccessOutcome, Vec<EvictionEvent>) {
+        let mut events = Vec::new();
+        let outcome = h.access(core, a, &mut events);
+        (outcome, events)
+    }
+
+    fn fill(h: &mut Hierarchy, core: usize, a: LineAddr, d: LineData) -> Vec<EvictionEvent> {
+        let mut events = Vec::new();
+        h.fill(core, a, d, &mut events);
+        events
+    }
+
     fn data(v: u64) -> LineData {
         let mut d = LineData::zeroed();
         d.set_word(0, v);
@@ -395,9 +412,9 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(10);
-        assert_eq!(h.access(0, a).0, AccessOutcome::Miss);
-        h.fill(0, a, data(7));
-        assert_eq!(h.access(0, a).0, AccessOutcome::L1Hit);
+        assert_eq!(access(&mut h, 0, a).0, AccessOutcome::Miss);
+        fill(&mut h, 0, a, data(7));
+        assert_eq!(access(&mut h, 0, a).0, AccessOutcome::L1Hit);
         assert_eq!(h.l1_line_mut(0, a).unwrap().data.word(0), 7);
     }
 
@@ -415,9 +432,9 @@ mod tests {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         // L1: 2 ways × 2 sets. Fill set 0 with lines 0, 2, then 4 evicts 0.
         for idx in [0u64, 2, 4] {
-            h.fill(0, LineAddr::from_index(idx), data(idx));
+            fill(&mut h, 0, LineAddr::from_index(idx), data(idx));
         }
-        let (outcome, _) = h.access(0, LineAddr::from_index(0));
+        let (outcome, _) = access(&mut h, 0, LineAddr::from_index(0));
         assert_eq!(outcome, AccessOutcome::L2Hit, "victim landed in L2");
     }
 
@@ -426,7 +443,7 @@ mod tests {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         // Dirty a line, then overflow every level so it reaches memory.
         let a = LineAddr::from_index(0);
-        h.fill(0, a, data(1));
+        fill(&mut h, 0, a, data(1));
         {
             let line = h.l1_line_mut(0, a).unwrap();
             line.dirty = true;
@@ -436,10 +453,10 @@ mod tests {
         // L3: 2 ways × 8 sets; push many same-set lines (stride 8).
         for i in 1..=12u64 {
             let addr = LineAddr::from_index(i * 8);
-            let (o, e) = h.access(0, addr);
+            let (o, e) = access(&mut h, 0, addr);
             all_events.extend(e);
             if o == AccessOutcome::Miss {
-                all_events.extend(h.fill(0, addr, data(0)));
+                all_events.extend(fill(&mut h, 0, addr, data(0)));
             }
         }
         let l1_pos = all_events
@@ -462,13 +479,13 @@ mod tests {
     fn migration_between_cores_preserves_data() {
         let mut h = Hierarchy::new(&tiny_cfg(), 2);
         let a = LineAddr::from_index(5);
-        h.fill(0, a, data(0));
+        fill(&mut h, 0, a, data(0));
         {
             let line = h.l1_line_mut(0, a).unwrap();
             line.dirty = true;
             line.data.set_word(0, 123);
         }
-        let (outcome, events) = h.access(1, a);
+        let (outcome, events) = access(&mut h, 1, a);
         assert_eq!(outcome, AccessOutcome::L3Hit);
         assert!(matches!(&events[0], EvictionEvent::L1Evicted(l) if l.addr == a));
         assert_eq!(h.l1_line_mut(1, a).unwrap().data.word(0), 123);
@@ -479,7 +496,7 @@ mod tests {
     fn force_write_back_is_two_phase() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(3);
-        h.fill(0, a, data(0));
+        fill(&mut h, 0, a, data(0));
         {
             let line = h.l1_line_mut(0, a).unwrap();
             line.dirty = true;
@@ -502,7 +519,7 @@ mod tests {
     fn fwb_redirty_restarts_aging() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(3);
-        h.fill(0, a, data(0));
+        fill(&mut h, 0, a, data(0));
         h.l1_line_mut(0, a).unwrap().dirty = true;
         h.force_write_back_scan(); // flags
         h.force_write_back_scan(); // writes back
@@ -516,18 +533,21 @@ mod tests {
     #[test]
     fn invalidate_all_clears_everything() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
-        h.fill(0, LineAddr::from_index(9), data(9));
+        fill(&mut h, 0, LineAddr::from_index(9), data(9));
         h.invalidate_all();
-        assert_eq!(h.access(0, LineAddr::from_index(9)).0, AccessOutcome::Miss);
+        assert_eq!(
+            access(&mut h, 0, LineAddr::from_index(9)).0,
+            AccessOutcome::Miss
+        );
     }
 
     #[test]
     fn stats_track_hits_and_misses() {
         let mut h = Hierarchy::new(&tiny_cfg(), 1);
         let a = LineAddr::from_index(1);
-        h.access(0, a);
-        h.fill(0, a, data(0));
-        h.access(0, a);
+        access(&mut h, 0, a);
+        fill(&mut h, 0, a, data(0));
+        access(&mut h, 0, a);
         assert_eq!(h.stats()[0].hits, 1);
         assert_eq!(h.stats()[0].misses, 1);
         assert_eq!(h.stats()[2].misses, 1);

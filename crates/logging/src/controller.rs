@@ -28,7 +28,7 @@
 //! [`on_llc_writeback`]: LogController::on_llc_writeback
 //! [`tick`]: LogController::tick
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use morlog_cache::line::{CacheLine, L1Ext, WordLogState};
 use morlog_encoding::secure::SecureMode;
@@ -161,6 +161,10 @@ pub struct LogController {
     /// Deliberate sabotage selector for the checker's mutation self-test
     /// (see [`CheckMutation`]); `None` in every real configuration.
     mutation: CheckMutation,
+    /// Scratch lists for [`tick`](LogController::tick)'s commit passes,
+    /// kept to reuse their allocations.
+    scratch_keys: Vec<TxKey>,
+    scratch_threads: Vec<ThreadId>,
 }
 
 impl LogController {
@@ -183,6 +187,8 @@ impl LogController {
             latency: CommitLatency::default(),
             tracer: Tracer::disabled(),
             mutation: CheckMutation::None,
+            scratch_keys: Vec::new(),
+            scratch_threads: Vec::new(),
             cfg,
         }
     }
@@ -598,7 +604,7 @@ impl LogController {
     pub fn start_commit(
         &mut self,
         key: TxKey,
-        ulog_words: Vec<UlogWord>,
+        ulog_words: &[UlogWord],
         ulog_count: u32,
         now: Cycle,
     ) {
@@ -645,17 +651,30 @@ impl LogController {
         self.pending_records.len()
     }
 
-    /// Per-cycle maintenance. Returns the undo+redo entries that reached the
-    /// persist domain this cycle (the engine transitions their words
-    /// `Dirty → URLog`).
-    pub fn tick(&mut self, now: Cycle, mc: &mut MemoryController) -> Vec<PersistedUr> {
+    /// Per-cycle maintenance. Appends to `persisted` the undo+redo entries
+    /// that reached the persist domain this cycle (the engine transitions
+    /// their words `Dirty → URLog`) and returns whether anything changed.
+    ///
+    /// A tick that changes nothing stays idle until [`next_event`] or until
+    /// another component frees write-queue space — with one exception: a
+    /// tick that hit a full log ring counts the stall in
+    /// `log_region_full_stalls`, so the engine steps every such cycle.
+    ///
+    /// [`next_event`]: LogController::next_event
+    pub fn tick(
+        &mut self,
+        now: Cycle,
+        mc: &mut MemoryController,
+        persisted: &mut Vec<PersistedUr>,
+    ) -> bool {
         let _prof = hostprof::scope(HostPhase::Logging);
-        let mut persisted = Vec::new();
+        let mut progress = false;
         // 1. Overflow drains first (forced entries, eviction redo data).
         while let Some(&record) = self.overflow.front() {
             match self.flush_to_ring(record, now, mc) {
                 FlushOutcome::Blocked(_) => break,
                 outcome => {
+                    progress = true;
                     self.overflow.pop_front();
                     if record.kind == LogRecordKind::UndoRedo {
                         persisted.push(PersistedUr {
@@ -677,6 +696,7 @@ impl LogController {
             match self.flush_to_ring(record, now, mc) {
                 FlushOutcome::Blocked(_) => break,
                 outcome => {
+                    progress = true;
                     self.ur_buf.pop_front();
                     persisted.push(PersistedUr {
                         key: record.key,
@@ -687,8 +707,9 @@ impl LogController {
             }
         }
         // 3. Synchronous commits pull their transaction's entries out.
-        let committing: Vec<TxKey> = self.pending_commits.values().map(|p| p.key).collect();
-        for key in committing {
+        let mut committing = std::mem::take(&mut self.scratch_keys);
+        committing.extend(self.pending_commits.values().map(|p| p.key));
+        for &key in &committing {
             loop {
                 let next = self
                     .ur_buf
@@ -699,6 +720,7 @@ impl LogController {
                 match self.flush_to_ring(record, now, mc) {
                     FlushOutcome::Blocked(_) => break,
                     outcome => {
+                        progress = true;
                         if is_ur {
                             self.ur_buf.remove(record.key, record.addr);
                             persisted.push(PersistedUr {
@@ -713,6 +735,8 @@ impl LogController {
                 }
             }
         }
+        committing.clear();
+        self.scratch_keys = committing;
         // 4. Lazy redo eviction: only under pressure or old age (§III-B).
         while let Some(front) = self.redo_buf.front() {
             let pressure = self.redo_buf.capacity() > 0
@@ -725,6 +749,7 @@ impl LogController {
             match self.flush_to_ring(record, now, mc) {
                 FlushOutcome::Blocked(_) => break,
                 _ => {
+                    progress = true;
                     self.redo_buf.pop_front();
                 }
             }
@@ -738,6 +763,7 @@ impl LogController {
                 match self.flush_to_ring(p.record, now, mc) {
                     FlushOutcome::Blocked(_) => break,
                     outcome => {
+                        progress = true;
                         self.ur_buf.remove(p.record.key, p.record.addr);
                         persisted.push(PersistedUr {
                             key: p.record.key,
@@ -752,6 +778,7 @@ impl LogController {
             }
             match mc.try_append_log(record, now) {
                 Ok(_) => {
+                    progress = true;
                     self.pending_records.pop_front();
                     self.stats.commit_records += 1;
                     self.commit_cycle.insert(record.key, now);
@@ -770,21 +797,23 @@ impl LogController {
         }
         // 6. Synchronous commits complete when nothing of theirs is left
         // and their commit record persisted.
-        let done: Vec<ThreadId> = self
-            .pending_commits
-            .iter()
-            .filter(|(_, p)| {
-                !self.ur_buf.has_tx(p.key)
-                    && !self.redo_buf.has_tx(p.key)
-                    && !self.overflow.iter().any(|r| r.key == p.key)
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for thread in done {
+        let mut done = std::mem::take(&mut self.scratch_threads);
+        done.extend(
+            self.pending_commits
+                .iter()
+                .filter(|(_, p)| {
+                    !self.ur_buf.has_tx(p.key)
+                        && !self.redo_buf.has_tx(p.key)
+                        && !self.overflow.iter().any(|r| r.key == p.key)
+                })
+                .map(|(&t, _)| t),
+        );
+        for &thread in &done {
             let p = self.pending_commits.get(&thread).expect("present").clone();
             if !self.commit_cycle.contains_key(&p.key)
                 && !self.pending_records.iter().any(|r| r.key == p.key)
             {
+                progress = true;
                 self.next_commit_ts += 1;
                 self.pending_records
                     .push_back(LogRecord::commit(p.key, None).with_timestamp(self.next_commit_ts));
@@ -798,6 +827,7 @@ impl LogController {
                 if mc.fault_active() && mc.tx_has_undrained_records(p.key) {
                     continue;
                 }
+                progress = true;
                 self.stats.commit_stall_cycles += now.saturating_sub(p.started);
                 self.pending_commits.remove(&thread);
                 self.tracer.emit(now, || TraceEvent::CommitPhase {
@@ -807,7 +837,51 @@ impl LogController {
                 self.track_phase(p.key, CommitPhaseTag::Complete, now);
             }
         }
-        persisted
+        done.clear();
+        self.scratch_threads = done;
+        progress
+    }
+
+    /// The earliest cycle after an idle [`tick`](LogController::tick) at
+    /// which a buffer entry ages out: the undo+redo head's eager deadline
+    /// (`created + eager_evict_cycles`) or the redo head's lazy age. A
+    /// deadline before `now` already passed and its flush was refused by a
+    /// full write queue, so it waits on the memory controller instead.
+    /// `Cycle::MAX` when neither head has a deadline ahead.
+    pub fn next_event(&self, now: Cycle) -> Cycle {
+        let ahead = |deadline: Cycle| {
+            if deadline >= now {
+                deadline
+            } else {
+                Cycle::MAX
+            }
+        };
+        let eager = self.ur_buf.front().map_or(Cycle::MAX, |p| {
+            ahead(p.created + self.cfg.eager_evict_cycles)
+        });
+        let lazy = self
+            .redo_buf
+            .front()
+            .map_or(Cycle::MAX, |p| ahead(p.created + self.redo_lazy_age));
+        eager.min(lazy)
+    }
+
+    /// A running total that changes whenever a store, eviction or tick
+    /// alters the buffers or the ring: entries created, coalesced,
+    /// discarded or written, commit records appended, commit timestamps
+    /// issued, and full-ring stalls. The engine compares it across a cycle
+    /// to tell an idle retry from one with side effects.
+    pub fn activity(&self) -> u64 {
+        let s = &self.stats;
+        s.undo_redo_created
+            + s.redo_created
+            + s.coalesced
+            + s.redo_discarded
+            + s.silent_discarded
+            + s.entries_written
+            + s.commit_records
+            + s.log_region_full_stalls
+            + self.next_commit_ts
     }
 
     fn tx_has_buffered_undo(&self, key: TxKey) -> bool {
@@ -868,10 +942,8 @@ impl LogController {
     /// committed at or before `horizon` (the force-write-back scheduler's
     /// safe commit horizon — their updated data have survived two scans).
     pub fn truncate(&mut self, horizon: Cycle, mc: &mut MemoryController) {
-        let commit_cycle = &self.commit_cycle;
-        let held = self.held_completions();
-        Self::truncate_by(commit_cycle, mc, |key, cc| {
-            !held.contains(key) && cc.get(key).map(|&c| c <= horizon).unwrap_or(false)
+        Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
+            !self.is_held(key) && cc.get(key).map(|&c| c <= horizon).unwrap_or(false)
         });
     }
 
@@ -884,23 +956,23 @@ impl LogController {
         table: &crate::txtable::TransactionTable,
         mc: &mut MemoryController,
     ) {
-        let commit_cycle = &self.commit_cycle;
-        let held = self.held_completions();
-        Self::truncate_by(commit_cycle, mc, |key, cc| {
-            !held.contains(key) && cc.contains_key(key) && table.is_deletable(*key)
+        Self::truncate_by(&self.commit_cycle, mc, |key, cc| {
+            !self.is_held(key) && cc.contains_key(key) && table.is_deletable(*key)
         });
     }
 
-    /// Transactions whose commit record persisted but whose program-visible
-    /// completion is still pending (the fault-plan drain gate holds it).
-    /// Their log entries must survive truncation: a crash inside the hold
-    /// window would otherwise find a transaction the program never saw
-    /// commit fully durable with no log evidence left for recovery to
-    /// classify it — an unrecoverable, checker-visible state. (Without an
-    /// active fault plan, completion lands the same tick the record
-    /// persists, before any truncation pass, so this set is empty.)
-    fn held_completions(&self) -> HashSet<TxKey> {
-        self.pending_commits.values().map(|p| p.key).collect()
+    /// Whether `key`'s commit record may have persisted while its
+    /// program-visible completion is still pending (the fault-plan drain
+    /// gate holds it). Its log entries must survive truncation: a crash
+    /// inside the hold window would otherwise find a transaction the
+    /// program never saw commit fully durable with no log evidence left for
+    /// recovery to classify it — an unrecoverable, checker-visible state.
+    /// (Without an active fault plan, completion lands the same tick the
+    /// record persists, before any truncation pass, so nothing is held.)
+    /// `pending_commits` holds at most one entry per thread, so it is
+    /// scanned directly.
+    fn is_held(&self, key: &TxKey) -> bool {
+        self.pending_commits.values().any(|p| p.key == *key)
     }
 
     /// Shared truncation walk: deletes the ring prefix of records whose
@@ -1039,6 +1111,17 @@ mod tests {
         CacheLine::clean(line_addr, LineData::zeroed())
     }
 
+    /// One tick, returning the entries it persisted.
+    pub(super) fn tick(
+        lc: &mut LogController,
+        now: Cycle,
+        m: &mut MemoryController,
+    ) -> Vec<PersistedUr> {
+        let mut persisted = Vec::new();
+        lc.tick(now, m, &mut persisted);
+        persisted
+    }
+
     /// Applies the engine's Dirty -> URLog transitions for persisted entries.
     fn apply_persisted(line: &mut CacheLine, persisted: &[PersistedUr]) {
         if let Some(ext) = line.ext.as_mut() {
@@ -1124,8 +1207,15 @@ mod tests {
         let key = lc.tx_begin(ThreadId::new(0), 0);
         lc.on_store(key, line.addr.word_addr(0), 0, 42, &mut line, 100, &mut m)
             .unwrap();
-        assert!(lc.tick(100 + cfg.eager_evict_cycles - 1, &mut m).is_empty());
-        let persisted = lc.tick(100 + cfg.eager_evict_cycles, &mut m);
+        let deadline = 100 + cfg.eager_evict_cycles;
+        assert!(!lc.tick(deadline - 1, &mut m, &mut Vec::new()));
+        assert_eq!(lc.next_event(deadline), deadline);
+        assert_eq!(
+            lc.next_event(deadline + 1),
+            Cycle::MAX,
+            "a passed deadline waits on the WQ"
+        );
+        let persisted = tick(&mut lc, 100 + cfg.eager_evict_cycles, &mut m);
         assert_eq!(persisted.len(), 1);
         assert_eq!(m.log_region().records().count(), 1);
         apply_persisted(&mut line, &persisted);
@@ -1142,7 +1232,7 @@ mod tests {
         let addr = line.addr.word_addr(0);
         lc.on_store(key, addr, 0, 42, &mut line, 0, &mut m).unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         // Store again: URLog -> ULog, redo buffered in the line itself.
         lc.on_store(key, addr, 42, 99, &mut line, 40, &mut m)
@@ -1173,7 +1263,7 @@ mod tests {
         // Build a ULog word, evict it so a redo entry is buffered.
         lc.on_store(key, addr, 0, 42, &mut line, 0, &mut m).unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         lc.on_store(key, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
@@ -1210,7 +1300,7 @@ mod tests {
         line.data.set_word(0, 42);
         lc.start_commit(
             key,
-            vec![UlogWord {
+            &[UlogWord {
                 addr: line.addr.word_addr(3),
                 value: 7,
                 dirty_mask: 0xFF,
@@ -1222,7 +1312,7 @@ mod tests {
         let mut now = 1;
         while lc.is_commit_pending(ThreadId::new(0)) {
             m.tick(now);
-            lc.tick(now, &mut m);
+            tick(&mut lc, now, &mut m);
             now += 1;
             assert!(now < 10_000, "commit must complete");
         }
@@ -1242,7 +1332,7 @@ mod tests {
         let key = lc.tx_begin(ThreadId::new(0), 0);
         lc.on_store(key, line.addr.word_addr(0), 0, 42, &mut line, 0, &mut m)
             .unwrap();
-        lc.start_commit(key, Vec::new(), 3, 1);
+        lc.start_commit(key, &[], 3, 1);
         assert!(
             !lc.is_commit_pending(ThreadId::new(0)),
             "DP commit is instant"
@@ -1250,7 +1340,7 @@ mod tests {
         // The pending commit record pulls the transaction's undo+redo entry
         // into the log ahead of itself (write-ahead completeness: a commit
         // record in the ring implies every undo+redo entry is too).
-        lc.tick(1, &mut m);
+        tick(&mut lc, 1, &mut m);
         let records: Vec<_> = m.log_region().records().collect();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].record.kind, LogRecordKind::UndoRedo);
@@ -1275,7 +1365,7 @@ mod tests {
             line.data.set_word(0, 42);
             lc.on_store(key, addr, 42, 0, &mut line, 1, &mut m).unwrap();
             line.data.set_word(0, 0);
-            lc.tick(cfg.eager_evict_cycles + 1, &mut m);
+            tick(&mut lc, cfg.eager_evict_cycles + 1, &mut m);
             assert_eq!(lc.stats().silent_discarded, expect_silent, "{design}");
             let written = m.log_region().records().count();
             assert_eq!(written, if expect_silent == 1 { 0 } else { 1 }, "{design}");
@@ -1292,7 +1382,7 @@ mod tests {
         let addr = line.addr.word_addr(0);
         lc.on_store(key, addr, 0, 42, &mut line, 0, &mut m).unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         lc.on_store(key, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
@@ -1322,13 +1412,13 @@ mod tests {
         lc.on_store(key1, addr, 0, 42, &mut line, 0, &mut m)
             .unwrap();
         line.data.set_word(0, 42);
-        let persisted = lc.tick(cfg.eager_evict_cycles, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles, &mut m);
         apply_persisted(&mut line, &persisted);
         lc.on_store(key1, addr, 42, 99, &mut line, 40, &mut m)
             .unwrap();
         line.data.set_word(0, 99);
-        lc.start_commit(key1, Vec::new(), 1, 41); // DP: word stays ULog
-                                                  // New transaction writes another word of the same line.
+        lc.start_commit(key1, &[], 1, 41); // DP: word stays ULog
+                                           // New transaction writes another word of the same line.
         let key2 = lc.tx_begin(t, 0);
         lc.on_store(key2, line.addr.word_addr(1), 0, 5, &mut line, 50, &mut m)
             .unwrap();
@@ -1393,11 +1483,11 @@ mod tests {
         lc.on_store(key1, line.addr.word_addr(0), 0, 1, &mut line, 0, &mut m)
             .unwrap();
         line.data.set_word(0, 1);
-        lc.start_commit(key1, Vec::new(), 0, 100);
+        lc.start_commit(key1, &[], 0, 100);
         let mut now = 100;
         while lc.is_commit_pending(t) {
             m.tick(now);
-            lc.tick(now, &mut m);
+            tick(&mut lc, now, &mut m);
             now += 1;
         }
         // tx2 starts but does not commit.
@@ -1406,7 +1496,7 @@ mod tests {
         let mut line2 = CacheLine::clean(line2_addr, LineData::zeroed());
         lc.on_store(key2, line2_addr.word_addr(0), 0, 2, &mut line2, now, &mut m)
             .unwrap();
-        lc.tick(now + cfg.eager_evict_cycles, &mut m);
+        tick(&mut lc, now + cfg.eager_evict_cycles, &mut m);
         let before = m.log_region().records().count();
         assert_eq!(before, 3); // tx1 entry + commit, tx2 entry
         lc.truncate(now + 1000, &mut m);
@@ -1421,6 +1511,7 @@ mod tests {
 
 #[cfg(test)]
 mod silent_anchor_tests {
+    use super::tests::tick;
     use super::*;
     use morlog_encoding::cell::CellModel;
     use morlog_encoding::slde::SldeCodec;
@@ -1448,7 +1539,7 @@ mod silent_anchor_tests {
         line.data.set_word(0, 42);
         lc.on_store(key, addr, 42, 0, &mut line, 1, &mut m).unwrap();
         line.data.set_word(0, 0);
-        let persisted = lc.tick(cfg.eager_evict_cycles + 1, &mut m);
+        let persisted = tick(&mut lc, cfg.eager_evict_cycles + 1, &mut m);
         assert_eq!(persisted.len(), 1);
         assert!(
             persisted[0].silent,

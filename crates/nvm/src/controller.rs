@@ -22,7 +22,7 @@ use morlog_sim_core::metrics::LogWriteMetrics;
 use morlog_sim_core::persist::{PersistEventKind, PersistEventMeta};
 use morlog_sim_core::stats::MemStats;
 use morlog_sim_core::trace::{LogKindTag, TraceEvent, Tracer};
-use morlog_sim_core::{Addr, Cycle, Frequency, LineAddr, LineData, MemConfig};
+use morlog_sim_core::{Addr, Cycle, Frequency, LineAddr, LineData, MemConfig, NanoSeconds};
 
 use crate::layout::{line_to_channel_bank, MemoryMap, Region};
 use crate::log::{LogFullError, LogRecord, LogRecordKind, LogRegion, StoredRecord};
@@ -230,6 +230,15 @@ pub struct MemoryController {
     stats: MemStats,
     high_mark: usize,
     low_mark: usize,
+    /// NVMM array read latency in cycles.
+    read_cycles: Cycle,
+    /// Write-pause resume overhead in cycles (see [`WRITE_PAUSE_NS`]).
+    pause_cycles: Cycle,
+    /// DRAM read latency in cycles.
+    dram_cycles: Cycle,
+    /// Writes issued with an active fault plan this tick, awaiting the
+    /// write-verify pass (kept to reuse its allocation).
+    issued_writes: Vec<PendingWrite>,
     /// Fault-injection plan (inactive by default).
     fault_plan: FaultPlan,
     /// Monotonic write-acceptance counter: the fault site of each write.
@@ -295,6 +304,10 @@ impl MemoryController {
             stats: MemStats::default(),
             high_mark,
             low_mark,
+            read_cycles: freq.ns_to_cycles(NanoSeconds::new(cfg.read_latency_ns)),
+            pause_cycles: freq.ns_to_cycles(NanoSeconds::new(WRITE_PAUSE_NS)),
+            dram_cycles: freq.ns_to_cycles(NanoSeconds::new(cfg.dram_latency_ns)),
+            issued_writes: Vec::new(),
             fault_plan: FaultPlan::none(),
             accept_seq: 0,
             wear: HashMap::new(),
@@ -426,11 +439,7 @@ impl MemoryController {
         self.next_ticket += 1;
         match self.map.region(line.base()) {
             Region::Dram => {
-                let done = now
-                    + self
-                        .freq
-                        .ns_to_cycles(morlog_sim_core::NanoSeconds::new(self.cfg.dram_latency_ns));
-                self.done_reads.insert(ticket, done);
+                self.done_reads.insert(ticket, now + self.dram_cycles);
             }
             Region::NvmmLog | Region::NvmmData => {
                 self.stats.nvmm_reads += 1;
@@ -446,6 +455,12 @@ impl MemoryController {
             }
         }
         ticket
+    }
+
+    /// The cycle a read completes, once it has been issued to its bank
+    /// (`None` while it still waits in a read queue).
+    pub fn read_done_at(&self, ticket: ReadTicket) -> Option<Cycle> {
+        self.done_reads.get(&ticket).copied()
     }
 
     /// Returns `true` (consuming the ticket) once the read has completed.
@@ -938,26 +953,27 @@ impl MemoryController {
     }
 
     /// Advances the controller by one cycle: updates drain state and issues
-    /// ready requests to free banks.
+    /// ready requests to free banks. Returns whether anything changed (a
+    /// drain started or ended, or a request issued); a tick that changes
+    /// nothing leaves the controller idle until [`next_event`].
     ///
     /// Reads may *pause* an in-progress write on their bank (write pausing:
     /// the iterative program-and-verify loop of PCM/RRAM can be suspended
     /// between iterations); the paused write's completion slips by the read
     /// duration plus a small resume overhead.
-    pub fn tick(&mut self, now: Cycle) {
+    ///
+    /// [`next_event`]: MemoryController::next_event
+    pub fn tick(&mut self, now: Cycle) -> bool {
         let _prof = hostprof::scope(HostPhase::MemController);
         self.last_tick = now;
-        let read_cycles = self
-            .freq
-            .ns_to_cycles(morlog_sim_core::NanoSeconds::new(self.cfg.read_latency_ns));
-        let pause_cycles = self
-            .freq
-            .ns_to_cycles(morlog_sim_core::NanoSeconds::new(WRITE_PAUSE_NS));
+        let (read_cycles, pause_cycles) = (self.read_cycles, self.pause_cycles);
         let fault_active = self.fault_plan.is_active();
-        let mut issued_writes: Vec<PendingWrite> = Vec::new();
+        let mut issued_writes = std::mem::take(&mut self.issued_writes);
+        let mut progress = false;
         for (ci, ch) in self.channels.iter_mut().enumerate() {
             // WQF drain hysteresis.
             if !ch.draining && ch.write_q.len() >= self.high_mark {
+                progress = true;
                 ch.draining = true;
                 self.stats.drains += 1;
                 let occ = ch.write_q.len() as u32;
@@ -966,6 +982,7 @@ impl MemoryController {
                     occupancy: occ,
                 });
             } else if ch.draining && ch.write_q.len() <= self.low_mark {
+                progress = true;
                 ch.draining = false;
                 let occ = ch.write_q.len() as u32;
                 self.tracer.emit(now, || TraceEvent::WqDrainEnd {
@@ -1015,11 +1032,46 @@ impl MemoryController {
                 if !issued {
                     break;
                 }
+                progress = true;
             }
         }
-        for w in issued_writes {
+        for w in issued_writes.drain(..) {
             self.verify_issued_write(&w);
         }
+        self.issued_writes = issued_writes;
+        progress
+    }
+
+    /// The earliest cycle at which a [`tick`] could issue a queued request:
+    /// a queued read whose bank is free of reads, or — when the channel
+    /// lets writes go (draining, or no reads waiting) — a queued write whose
+    /// bank is free of both. `Cycle::MAX` when nothing is queued.
+    ///
+    /// Meaningful after a tick that changed nothing: the drain state is
+    /// then settled, and every queue entry's bank is busy past that tick.
+    ///
+    /// [`tick`]: MemoryController::tick
+    pub fn next_event(&self) -> Cycle {
+        let mut next = Cycle::MAX;
+        for ch in &self.channels {
+            for r in &ch.read_q {
+                next = next.min(ch.read_busy_until[r.bank]);
+            }
+            if ch.draining || ch.read_q.is_empty() {
+                for w in &ch.write_q {
+                    next = next.min(ch.write_busy_until[w.bank].max(ch.read_busy_until[w.bank]));
+                }
+            }
+        }
+        next
+    }
+
+    /// Records that the controller idled through every cycle before `now`
+    /// without being ticked (the engine skipped them): trace events from
+    /// untimed entry points are stamped with the last skipped cycle, as if
+    /// each had been ticked.
+    pub fn idle_until(&mut self, now: Cycle) {
+        self.last_tick = now - 1;
     }
 
     /// The write-verify pass run as each write drains to its bank: read the
@@ -1086,7 +1138,7 @@ impl MemoryController {
 
     fn write_service_cycles(&self, cost: &morlog_encoding::dcw::WriteCost) -> Cycle {
         let ns = if cost.is_silent() {
-            morlog_sim_core::NanoSeconds::new(SILENT_WRITE_NS)
+            NanoSeconds::new(SILENT_WRITE_NS)
         } else {
             cost.latency
         };
@@ -1168,6 +1220,32 @@ mod tests {
         assert!(!m.take_if_done(t, 74));
         assert!(m.take_if_done(t, 75)); // 25 ns at 3 GHz
         assert_eq!(m.stats().nvmm_reads, 1);
+    }
+
+    #[test]
+    fn idle_ticks_wait_for_the_reported_next_event() {
+        let mut m = mc();
+        let line = m.map().data_base().line();
+        let t = m.enqueue_read(line, 0);
+        assert!(m.tick(0), "the read issues at once");
+        assert_eq!(m.read_done_at(t), Some(75));
+        assert_eq!(m.next_event(), Cycle::MAX, "nothing left queued");
+        // Two writes to one bank: the second waits for the first, and for
+        // the read still holding the bank.
+        let mut d = LineData::zeroed();
+        for v in 1..=2 {
+            d.set_word(0, v);
+            assert!(m.try_write_data(line, d, 1));
+        }
+        assert!(m.tick(75), "first write issues once the read is done");
+        let next = m.next_event();
+        assert!(next > 76, "the bank is busy programming");
+        for now in 76..next {
+            assert!(!m.tick(now), "cycle {now} changes nothing");
+            assert_eq!(m.next_event(), next);
+        }
+        assert!(m.tick(next), "second write issues at the reported cycle");
+        assert_eq!(m.write_queue_occupancy(), 0);
     }
 
     #[test]

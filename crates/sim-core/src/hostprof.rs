@@ -62,7 +62,7 @@ pub const ALLOC_SLOTS: usize = HOST_PHASE_COUNT + 1;
 pub const MAX_PATH_DEPTH: usize = 8;
 
 /// Number of distinct [`HostCounter`] values.
-pub const HOST_COUNTER_COUNT: usize = 4;
+pub const HOST_COUNTER_COUNT: usize = 5;
 
 /// Label used for the allocation slot that collects allocations made while
 /// no profiling scope is active on the thread.
@@ -133,7 +133,8 @@ impl HostPhase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum HostCounter {
-    /// System cycle-step events executed (one per core-visible cycle).
+    /// Simulated cycles, whether the engine stepped them one at a time or
+    /// skipped them in bulk as idle (one per core-visible cycle).
     EventsSimulated = 0,
     /// Write-queue entries accepted by the memory controller (data + log).
     WqOps = 1,
@@ -141,6 +142,9 @@ pub enum HostCounter {
     CacheLookups = 2,
     /// Log-entry appends accepted by the memory controller.
     LogAppends = 3,
+    /// Simulated cycles the engine stepped one at a time; the rest of
+    /// `EventsSimulated` were idle cycles it skipped.
+    CyclesStepped = 4,
 }
 
 impl HostCounter {
@@ -150,6 +154,7 @@ impl HostCounter {
         HostCounter::WqOps,
         HostCounter::CacheLookups,
         HostCounter::LogAppends,
+        HostCounter::CyclesStepped,
     ];
 
     /// Stable snake_case label used in result schemas.
@@ -159,6 +164,7 @@ impl HostCounter {
             HostCounter::WqOps => "wq_ops",
             HostCounter::CacheLookups => "cache_lookups",
             HostCounter::LogAppends => "log_appends",
+            HostCounter::CyclesStepped => "cycles_stepped",
         }
     }
 }

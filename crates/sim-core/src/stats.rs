@@ -229,17 +229,18 @@ impl CycleAttribution {
         "idle",
     ];
 
-    /// Charges one core-cycle to `kind`.
-    pub fn add(&mut self, kind: StallKind) {
-        match kind {
-            StallKind::Busy => self.busy += 1,
-            StallKind::ReadWait => self.read_wait += 1,
-            StallKind::DrainWait => self.drain_wait += 1,
-            StallKind::LogBufferStall => self.log_buffer_stall += 1,
-            StallKind::WqStall => self.wq_stall += 1,
-            StallKind::CommitWait => self.commit_wait += 1,
-            StallKind::Idle => self.idle += 1,
-        }
+    /// Charges `cycles` core-cycles to `kind`.
+    pub fn add(&mut self, kind: StallKind, cycles: u64) {
+        let account = match kind {
+            StallKind::Busy => &mut self.busy,
+            StallKind::ReadWait => &mut self.read_wait,
+            StallKind::DrainWait => &mut self.drain_wait,
+            StallKind::LogBufferStall => &mut self.log_buffer_stall,
+            StallKind::WqStall => &mut self.wq_stall,
+            StallKind::CommitWait => &mut self.commit_wait,
+            StallKind::Idle => &mut self.idle,
+        };
+        *account += cycles;
     }
 
     /// The accounts in [`CycleAttribution::LABELS`] order.
@@ -478,15 +479,14 @@ mod tests {
     #[test]
     fn attribution_accounts_add_and_total() {
         let mut a = CycleAttribution::default();
-        a.add(StallKind::Busy);
-        a.add(StallKind::Busy);
-        a.add(StallKind::WqStall);
-        a.add(StallKind::Idle);
+        a.add(StallKind::Busy, 2);
+        a.add(StallKind::WqStall, 1);
+        a.add(StallKind::Idle, 1);
         assert_eq!(a.busy, 2);
         assert_eq!(a.wq_stall, 1);
         assert_eq!(a.total(), 4);
         let mut b = CycleAttribution::default();
-        b.add(StallKind::CommitWait);
+        b.add(StallKind::CommitWait, 1);
         a.merge(&b);
         assert_eq!(a.total(), 5);
         assert_eq!(a.values().len(), CycleAttribution::LABELS.len());

@@ -8,7 +8,7 @@ use morlog_cache::hierarchy::{AccessOutcome, EvictionEvent, Hierarchy};
 use morlog_cache::line::WordLogState;
 use morlog_encoding::cell::CellModel;
 use morlog_encoding::slde::SldeCodec;
-use morlog_logging::controller::{LogController, StoreStall, UlogWord};
+use morlog_logging::controller::{LogController, PersistedUr, StoreStall, UlogWord};
 use morlog_logging::recovery::{recover, RecoveryReport};
 use morlog_logging::txtable::TransactionTable;
 use morlog_nvm::controller::{MemoryController, ReadTicket};
@@ -45,7 +45,24 @@ struct Core {
     /// accounts: `Busy` for pipeline latency, `CommitWait` for log
     /// backpressure at transaction begin.
     busy_kind: StallKind,
+    /// What the core's last stepped cycle was charged to. A cycle the
+    /// engine skips is charged the same: the core was idle in it too.
+    last_kind: StallKind,
 }
+
+impl Core {
+    /// Everything a step can change about the core itself; an unchanged
+    /// value means the core sat out the cycle.
+    fn position(&self) -> (Phase, usize, usize, bool) {
+        (self.phase, self.tx_idx, self.op_idx, self.tx_began)
+    }
+}
+
+/// Cycles between watchdog progress checks in [`System::run`].
+const WATCHDOG_PERIOD: Cycle = 4_000_000;
+
+/// Cycles between transaction-table truncation passes (§III-F option 2).
+const TABLE_TRUNCATION_PERIOD: Cycle = 4096;
 
 /// One simulated machine running one workload under one design.
 ///
@@ -107,6 +124,16 @@ pub struct System {
     /// Cycle-sampled occupancy series (write queue, log buffers, live
     /// log bytes, outstanding DP commits, pending writebacks).
     series: SeriesSet,
+    /// Stores refused in the last stepped cycle; each skipped cycle
+    /// repeats the refusals and is charged to `store_stall_cycles` alike.
+    refused_stores: u64,
+    /// Scratch buffers of the per-cycle path, kept to reuse their
+    /// allocations: entries the log controller persisted this cycle,
+    /// eviction events of one cache operation, and the `ULog` words of a
+    /// committing transaction.
+    persisted: Vec<PersistedUr>,
+    events: Vec<EvictionEvent>,
+    ulog_words: Vec<UlogWord>,
 }
 
 impl System {
@@ -199,6 +226,7 @@ impl System {
                 key: None,
                 tx_began: false,
                 busy_kind: StallKind::Busy,
+                last_kind: StallKind::Busy,
             })
             .collect();
         let mut hierarchy = Hierarchy::new(&cfg.hierarchy, cfg.cores.cores);
@@ -223,6 +251,10 @@ impl System {
             attr: CycleAttribution::default(),
             sample_period,
             series: SeriesSet::with_period(sample_period),
+            refused_stores: 0,
+            persisted: Vec::new(),
+            events: Vec::new(),
+            ulog_words: Vec::new(),
             mc,
             cfg,
         }
@@ -265,23 +297,28 @@ impl System {
     /// # Panics
     ///
     /// Panics if the system stops making progress (an engine bug, surfaced
-    /// loudly rather than hanging).
+    /// loudly rather than hanging): at once when it idles with unfinished
+    /// cores and no component has anything scheduled, otherwise when no
+    /// commit or retired op happens within a watchdog period.
     pub fn run(&mut self) -> SimStats {
         let mut last_progress = (0u64, 0usize, self.now);
+        let mut next_check = (self.now / WATCHDOG_PERIOD + 1) * WATCHDOG_PERIOD;
         while !self.finished() {
-            self.step_cycle();
+            let scheduled = self.advance(next_check);
+            let stuck = !scheduled && !self.finished();
             // Watchdog: commits or retired ops must advance.
-            if self.now.is_multiple_of(4_000_000) {
+            if stuck || self.now >= next_check {
                 let ops: usize = self.cores.iter().map(|c| c.tx_idx * 1000 + c.op_idx).sum();
                 let progress = (self.committed, ops, self.now);
                 assert!(
-                    (progress.0, progress.1) != (last_progress.0, last_progress.1),
+                    !stuck && (progress.0, progress.1) != (last_progress.0, last_progress.1),
                     "no progress between cycle {} and {}: cores {:?}",
                     last_progress.2,
                     self.now,
                     self.cores.iter().map(|c| c.phase).collect::<Vec<_>>()
                 );
                 last_progress = progress;
+                next_check += WATCHDOG_PERIOD;
             }
         }
         self.finish_cycle = Some(self.now);
@@ -299,7 +336,7 @@ impl System {
     pub fn run_for(&mut self, cycles: Cycle) -> bool {
         let deadline = self.now + cycles;
         while !self.finished() && self.now < deadline {
-            self.step_cycle();
+            self.advance(deadline);
         }
         self.finished()
     }
@@ -307,17 +344,106 @@ impl System {
     fn quiesce(&mut self) {
         let deadline = self.now + 50_000_000;
         while !(self.lc.is_quiescent() && self.pending_writebacks.is_empty()) {
-            self.step_cycle();
+            self.advance(deadline);
             assert!(self.now < deadline, "log controller failed to quiesce");
         }
         // Let the write queues drain for the energy/traffic accounting.
-        for _ in 0..100_000 {
-            if self.mc.write_queue_occupancy() == 0 {
-                break;
-            }
-            self.mc.tick(self.now);
+        let deadline = self.now + 100_000;
+        while self.now < deadline && self.mc.write_queue_occupancy() != 0 {
+            let active = self.mc.tick(self.now);
             self.now += 1;
+            if !active {
+                let next = self.mc.next_event().min(deadline);
+                if next > self.now {
+                    self.now = next;
+                    self.mc.idle_until(next);
+                }
+            }
         }
+    }
+
+    /// The cycle engine's one entry point: simulates the cycle at `now`,
+    /// then, if that cycle changed nothing, jumps `now` straight to the
+    /// earliest cycle at which any component or timer could act — but no
+    /// further than `limit`. The skipped cycles are charged exactly as
+    /// stepping them would have charged them.
+    ///
+    /// Returns `false` when the system is idle and no component (core,
+    /// memory controller, log controller) has anything scheduled: only a
+    /// timer or `limit` could end the wait, and none of them can unblock a
+    /// core.
+    fn advance(&mut self, limit: Cycle) -> bool {
+        // Writebacks waiting for the write queue retry every cycle and
+        // count a `wq_full_stall_cycles` per refusal: step them one by one.
+        if self.step_cycle() || !self.pending_writebacks.is_empty() {
+            return true;
+        }
+        let scheduled = self.next_component_event();
+        let next = scheduled.min(self.next_timer()).min(limit);
+        if next > self.now {
+            self.skip_to(next);
+        }
+        scheduled != Cycle::MAX
+    }
+
+    /// The earliest cycle at which a core, the memory controller or the
+    /// log controller could change state on its own, after an idle cycle:
+    /// a `BusyUntil` deadline, an issued read's completion, a bank coming
+    /// free for a queued request, a log-buffer entry ageing out. Cores
+    /// waiting on a commit or a full write queue have no deadline of their
+    /// own; they wake when another component acts.
+    fn next_component_event(&self) -> Cycle {
+        let mut next = self.mc.next_event().min(self.lc.next_event(self.now));
+        for core in &self.cores {
+            let at = match core.phase {
+                Phase::BusyUntil(t) => t,
+                Phase::WaitRead(ticket, _) => self.mc.read_done_at(ticket).unwrap_or(Cycle::MAX),
+                Phase::Ready | Phase::WaitCommit | Phase::Done => Cycle::MAX,
+            };
+            next = next.min(at);
+        }
+        next
+    }
+
+    /// The next cycle a system timer fires: the force-write-back scan, the
+    /// occupancy sample (on the execution clock only) and, under
+    /// table-based truncation, the periodic truncation pass.
+    fn next_timer(&self) -> Cycle {
+        let mut next = self.fwb.next_scan();
+        if self.sample_period != 0 && self.finish_cycle.is_none() {
+            next = next.min(self.now.next_multiple_of(self.sample_period));
+        }
+        if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable {
+            next = next.min(self.now.next_multiple_of(TABLE_TRUNCATION_PERIOD));
+        }
+        next
+    }
+
+    /// Skips the idle cycles `now..next`. Each would have repeated the last
+    /// stepped cycle exactly — same stall kind per core, same refused
+    /// stores, no state change — so they are charged in bulk.
+    fn skip_to(&mut self, next: Cycle) {
+        let cycles = next - self.now;
+        hostprof::count(HostCounter::EventsSimulated, cycles);
+        if self.finish_cycle.is_none() {
+            for core in &self.cores {
+                self.attr.add(core.last_kind, cycles);
+            }
+        }
+        self.store_stall_cycles += self.refused_stores * cycles;
+        self.now = next;
+        self.mc.idle_until(next);
+    }
+
+    /// What changes whenever the log controller or the memory controller
+    /// changes state outside its own tick (a store's side effects, a
+    /// ring extension, an accepted write).
+    fn activity_stamp(&self) -> (u64, u64, u64) {
+        (
+            self.lc.activity(),
+            self.mc.persist_events(),
+            self.mc.stats().log_overflow_growths,
+        )
     }
 
     /// Assembles the run's statistics. `cycles` is the execution time up
@@ -345,8 +471,15 @@ impl System {
         }
     }
 
-    fn step_cycle(&mut self) {
+    /// Simulates the cycle at `now` and advances `now` past it. Returns
+    /// whether any component changed state; a cycle that changed nothing
+    /// leaves the system in a state the following cycles repeat until a
+    /// deadline passes or a component acts (see [`advance`]).
+    ///
+    /// [`advance`]: System::advance
+    fn step_cycle(&mut self) -> bool {
         hostprof::count(HostCounter::EventsSimulated, 1);
+        hostprof::count(HostCounter::CyclesStepped, 1);
         // Occupancy sampling runs on the execution clock only — the
         // quiesce tail after the last commit is excluded, like `attr`.
         if self.sample_period != 0
@@ -365,10 +498,12 @@ impl System {
                 self.pending_writebacks.len() as u64,
             );
         }
+        let stamp = self.activity_stamp();
         self.hierarchy.set_now(self.now);
-        self.mc.tick(self.now);
-        let persisted = self.lc.tick(self.now, &mut self.mc);
-        for p in persisted {
+        let mut active = self.mc.tick(self.now);
+        let mut persisted = std::mem::take(&mut self.persisted);
+        active |= self.lc.tick(self.now, &mut self.mc, &mut persisted);
+        for p in persisted.drain(..) {
             if let Some((_, line)) = self.hierarchy.find_l1(p.addr.line()) {
                 if let Some(ext) = line.ext.as_mut() {
                     let w = p.addr.word_index();
@@ -393,6 +528,7 @@ impl System {
                 }
             }
         }
+        self.persisted = persisted;
         self.drain_writebacks();
         if self.pending_writebacks.is_empty() {
             if let Some(horizon) = self.pending_truncation.take() {
@@ -400,6 +536,7 @@ impl System {
                 // transactions committed before the horizon are now safe to
                 // delete.
                 self.lc.truncate(horizon, &mut self.mc);
+                active = true;
             }
         }
         if self.fwb.due(self.now) {
@@ -412,28 +549,37 @@ impl System {
                     self.pending_truncation = Some(horizon);
                 }
             }
+            active = true;
         }
         // Table-based truncation runs continuously (here: every 4096
         // cycles) — a committed transaction's entries are deleted as soon
         // as its last dirty line persists (§III-F option 2).
         if self.cfg.log.truncation == morlog_sim_core::config::TruncationPolicy::TransactionTable
-            && self.now.is_multiple_of(4096)
+            && self.now.is_multiple_of(TABLE_TRUNCATION_PERIOD)
             && self.pending_writebacks.is_empty()
         {
             self.lc.truncate_with_table(&self.tx_table, &mut self.mc);
+            active = true;
         }
+        let refused_before = self.store_stall_cycles;
         for i in 0..self.cores.len() {
+            let before = self.cores[i].position();
             let kind = {
                 let _prof = hostprof::scope(HostPhase::CoreIssue);
                 self.step_core(i)
             };
+            active |= self.cores[i].position() != before;
+            self.cores[i].last_kind = kind;
             // The attribution clock stops with the throughput clock: the
             // quiesce tail after the last commit is not execution time.
             if self.finish_cycle.is_none() {
-                self.attr.add(kind);
+                self.attr.add(kind, 1);
             }
         }
+        self.refused_stores = self.store_stall_cycles - refused_before;
+        active |= self.activity_stamp() != stamp;
         self.now += 1;
+        active
     }
 
     fn drain_writebacks(&mut self) {
@@ -457,8 +603,11 @@ impl System {
         }
     }
 
-    fn handle_events(&mut self, events: Vec<EvictionEvent>) {
-        for ev in events {
+    /// Hands the eviction events a cache operation left in `events` to
+    /// the log controller and the writeback queue, in order.
+    fn handle_events(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        for ev in events.drain(..) {
             match ev {
                 EvictionEvent::L1Evicted(line) => self.lc.on_l1_evict(&line, self.now),
                 EvictionEvent::MemoryWriteback { addr, data } => {
@@ -466,6 +615,7 @@ impl System {
                 }
             }
         }
+        self.events = events;
     }
 
     /// Advances one core by one cycle and reports which attribution
@@ -484,8 +634,8 @@ impl System {
             Phase::WaitRead(ticket, line) => {
                 if self.mc.take_if_done(ticket, self.now) {
                     let data = self.mc.read_line(line);
-                    let events = self.hierarchy.fill(i, line, data);
-                    self.handle_events(events);
+                    self.hierarchy.fill(i, line, data, &mut self.events);
+                    self.handle_events();
                     // Retry the op next cycle with the line resident.
                     self.cores[i].busy_kind = StallKind::Busy;
                     self.cores[i].phase = Phase::BusyUntil(self.now + 1);
@@ -549,8 +699,8 @@ impl System {
                 StallKind::Busy
             }
             Op::Load(addr) => {
-                let (outcome, events) = self.hierarchy.access(i, addr.line());
-                self.handle_events(events);
+                let outcome = self.hierarchy.access(i, addr.line(), &mut self.events);
+                self.handle_events();
                 match outcome {
                     AccessOutcome::Miss => {
                         let ticket = self.mc.enqueue_read(addr.line(), self.now);
@@ -576,8 +726,8 @@ impl System {
         let line_addr = addr.line();
         if self.hierarchy.l1_line_mut(i, line_addr).is_none() {
             // Write-allocate: bring the line into L1 first.
-            let (outcome, events) = self.hierarchy.access(i, line_addr);
-            self.handle_events(events);
+            let outcome = self.hierarchy.access(i, line_addr, &mut self.events);
+            self.handle_events();
             match outcome {
                 AccessOutcome::Miss => {
                     let ticket = self.mc.enqueue_read(line_addr, self.now);
@@ -637,7 +787,7 @@ impl System {
     fn start_commit(&mut self, i: usize) -> StallKind {
         let key = self.cores[i].key.expect("commit inside a transaction");
         let dp = self.cfg.design.delay_persistence();
-        let mut ulog_words = Vec::new();
+        let mut ulog_words = std::mem::take(&mut self.ulog_words);
         let mut ulog_count = 0u32;
         if self.cfg.design.is_morlog() {
             for line in self.hierarchy.l1_lines_mut(i) {
@@ -677,7 +827,9 @@ impl System {
                 }
             }
         }
-        self.lc.start_commit(key, ulog_words, ulog_count, self.now);
+        self.lc.start_commit(key, &ulog_words, ulog_count, self.now);
+        ulog_words.clear();
+        self.ulog_words = ulog_words;
         if dp {
             // Instant commit (§III-C).
             self.finish_commit(i);
@@ -816,7 +968,7 @@ impl System {
             if self.mc.crash_point_reached() {
                 return true;
             }
-            self.step_cycle();
+            self.advance(deadline);
             assert!(
                 self.now < deadline,
                 "crash-point replay stalled without reaching its target"
@@ -826,7 +978,7 @@ impl System {
             if self.mc.crash_point_reached() {
                 return true;
             }
-            self.step_cycle();
+            self.advance(deadline);
             assert!(
                 self.now < deadline,
                 "crash-point replay failed to quiesce past the last event"
